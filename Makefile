@@ -72,14 +72,15 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 # Enforcement hot-path benchmarks (allocation planning, transitive
-# closure, the simplex solvers) captured into BENCH_hotpath.json. The
-# file's "baseline" snapshot is frozen on first write; later runs only
-# replace "current", so the tracked file records the trajectory against
-# the pre-optimization numbers. BENCHTIME=1x gives a smoke run in CI.
+# closure, the simplex solvers, the WAL open-and-replay restart path)
+# captured into BENCH_hotpath.json. The file's "baseline" snapshot is
+# frozen on first write; later runs only replace "current", so the
+# tracked file records the trajectory against the pre-optimization
+# numbers. BENCHTIME=1x gives a smoke run in CI.
 BENCHTIME ?= 1s
 bench-json:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) \
-		./internal/core/ ./internal/transitive/ ./internal/lp/ \
+		./internal/core/ ./internal/transitive/ ./internal/lp/ ./internal/store/ \
 		| $(GO) run ./cmd/benchjson -out BENCH_hotpath.json
 
 # Regression gate over the committed bench trajectory: every current
@@ -105,10 +106,14 @@ LOADGEN_DURATION ?= 3s
 loadgen-json:
 	$(GO) run ./cmd/loadgen -json BENCH_transport.json -duration $(LOADGEN_DURATION)
 
-# Short local fuzz passes over the snapshot and scenario-bundle decoders.
+# Short local fuzz passes over the decoders of untrusted bytes: the
+# agreement snapshot, the scenario bundle, the WAL record frames and the
+# binary wire response envelope.
 fuzz:
 	$(GO) test ./internal/agreement/ -fuzz FuzzSnapshotDecode -fuzztime 30s
 	$(GO) test ./internal/scenario/ -fuzz FuzzBundleDecode -fuzztime 30s
+	$(GO) test ./internal/store/ -fuzz FuzzLogDecode -fuzztime 30s
+	$(GO) test ./internal/grm/ -fuzz FuzzResponseDecode -fuzztime 30s
 
 clean:
 	$(GO) clean ./...

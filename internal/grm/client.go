@@ -610,7 +610,11 @@ func newBinWire(conn net.Conn, timeout time.Duration) (*binWire, error) {
 		return nil, err
 	}
 	br := bufio.NewReader(conn)
-	if _, err := transport.ReadHello(br); err != nil {
+	accepted, err := transport.ReadHello(br)
+	if err != nil {
+		return nil, err
+	}
+	if err := transport.CheckAccepted(transport.Version, accepted); err != nil {
 		return nil, err
 	}
 	conn.SetDeadline(time.Time{})

@@ -7,7 +7,10 @@ package grm
 // then the payload fields. Every field uses the transport encoding
 // primitives — uvarint/zigzag integers, 8-byte little-endian floats,
 // length-prefixed strings and slices — so the layout is deterministic
-// byte for byte, unlike gob's type-descriptor streams.
+// byte for byte, unlike gob's type-descriptor streams. An alloc reply's
+// takes are a sparse slice (protocol version 2): a plan takes from the
+// few principals in the requester's agreement component, so the reply
+// carries those pairs, not one float per principal in the system.
 
 import (
 	"fmt"
@@ -128,7 +131,7 @@ func appendResponse(dst []byte, resp *Response) ([]byte, error) {
 		dst = transport.AppendUvarint(dst, kindRevoke)
 	case resp.Alloc != nil:
 		dst = transport.AppendUvarint(dst, kindAlloc)
-		dst = transport.AppendFloat64s(dst, resp.Alloc.Takes)
+		dst = transport.AppendSparseFloat64s(dst, resp.Alloc.Takes)
 		dst = transport.AppendFloat64(dst, resp.Alloc.Theta)
 		dst = transport.AppendInt(dst, int64(resp.Alloc.Lease))
 		dst = transport.AppendInt(dst, int64(resp.Alloc.TTL))
@@ -171,7 +174,7 @@ func decodeResponse(data []byte) (*Response, error) {
 	case kindRevoke:
 		resp.Revoke = &ReportReply{}
 	case kindAlloc:
-		resp.Alloc = &AllocReply{Takes: d.Float64s(), Theta: d.Float64(), Lease: int(d.Int()), TTL: d.Duration()}
+		resp.Alloc = &AllocReply{Takes: d.SparseFloat64s(), Theta: d.Float64(), Lease: int(d.Int()), TTL: d.Duration()}
 	case kindRelease:
 		resp.Release = &ReportReply{}
 	case kindRenew:

@@ -1,9 +1,15 @@
 package grm
 
 import (
+	"bytes"
+	"net"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/grm/transport"
 )
 
 func TestRequestCodecRoundTrip(t *testing.T) {
@@ -45,6 +51,7 @@ func TestResponseCodecRoundTrip(t *testing.T) {
 		{Share: &ShareReply{Ticket: 11}},
 		{Revoke: &ReportReply{}},
 		{Alloc: &AllocReply{Takes: []float64{1, 0, 2.5}, Theta: 0.125, Lease: 3, TTL: 10 * time.Second}},
+		{Alloc: &AllocReply{Takes: []float64{0, 0, 0, 4}, Theta: 1, Lease: 9}},
 		{Alloc: &AllocReply{Theta: 0, Lease: 0}},
 		{Release: &ReportReply{}},
 		{Renew: &RenewReply{TTL: 3 * time.Second}},
@@ -127,4 +134,86 @@ func TestCodecNoPanicOnGarbage(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAllocReplyIsSparse: an alloc reply's size follows the principals
+// the plan took from, not the number in the system.
+func TestAllocReplyIsSparse(t *testing.T) {
+	takes := make([]float64, 16000)
+	takes[17], takes[4000], takes[15999] = 3, 2, 1
+	enc, err := appendResponse(nil, &Response{Alloc: &AllocReply{Takes: takes, Theta: 0.5, Lease: 123456, TTL: 30 * time.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(enc) >= 100 {
+		t.Errorf("alloc reply taking from 3 of 16000 principals is %d bytes, want < 100", len(enc))
+	}
+}
+
+// TestClientRefusesOldServer: a server that accepts version 1 would
+// send dense alloc replies; the client must refuse the connection.
+func TestClientRefusesOldServer(t *testing.T) {
+	cfg := DialConfig{Timeout: 5 * time.Second, Codec: CodecBinary}
+	cfg.Dialer = func(string) (net.Conn, error) {
+		client, server := net.Pipe()
+		go func() {
+			defer server.Close()
+			if _, err := transport.ReadHello(server); err != nil {
+				return
+			}
+			transport.WriteHello(server, 1)
+		}()
+		return client, nil
+	}
+	_, err := DialWithConfig("old-grm", "site", 10, cfg)
+	if err == nil || !strings.Contains(err.Error(), "accepted protocol version 1") {
+		t.Fatalf("dial to a version-1 server: err = %v, want a version refusal", err)
+	}
+}
+
+// FuzzResponseDecode feeds arbitrary envelopes to the response decoder:
+// it must not panic, must not allocate beyond what the largest legal
+// frame can ask for, and anything it accepts must re-encode to exactly
+// the input bytes (the envelope form is canonical).
+func FuzzResponseDecode(f *testing.F) {
+	seeds := []*Response{
+		{Err: "boom", Code: CodeNoPrincipals},
+		{Register: &RegisterReply{Principal: 4}},
+		{Share: &ShareReply{Ticket: 11}},
+		{Alloc: &AllocReply{Takes: []float64{1, 0, 2.5}, Theta: 0.125, Lease: 3, TTL: 10 * time.Second}},
+		{Alloc: &AllocReply{Takes: make([]float64, 2000)}},
+		{Renew: &RenewReply{TTL: 3 * time.Second}},
+		{Caps: &CapsReply{Available: []float64{5, 6}, Capacities: []float64{7, 8}}},
+		{Peers: &PeersReply{Names: []string{"a", "", "c"}}},
+		{Ping: &PingReply{}},
+	}
+	for _, resp := range seeds {
+		enc, err := appendResponse(nil, resp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
+	f.Add([]byte{0, 0, kindAlloc, 0xff, 0xff, 0xff, 0x0f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, err := decodeResponse(data)
+		runtime.ReadMemStats(&after)
+		// One dense float slice may fill a maximal frame; everything else
+		// is bounded by the input (string and slice headers per byte).
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > transport.MaxFramePayload+64*uint64(len(data))+4096 {
+			t.Fatalf("decoding %d bytes allocated %d bytes", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		enc, err := appendResponse(nil, resp)
+		if err != nil {
+			t.Fatalf("accepted response %+v failed to re-encode: %v", resp, err)
+		}
+		if !bytes.Equal(enc, data) {
+			t.Fatalf("accepted %x re-encodes to %x", data, enc)
+		}
+	})
 }

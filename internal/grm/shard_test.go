@@ -284,6 +284,66 @@ func TestShardedPerShardWALRecovery(t *testing.T) {
 	g.Close()
 }
 
+// TestShardedFileLogCrashPath runs the restart a real crash takes, as
+// one piece: a sharded GRM journals into per-shard FileLogs through
+// allocations, releases and a compaction, the logs are closed, each
+// shard directory is reopened with OpenFileLog (the torn-tail scan),
+// and RecoverShards replays them. The merged status must come back
+// byte for byte, and the recovered GRM keeps serving.
+func TestShardedFileLogCrashPath(t *testing.T) {
+	const nshards = 3
+	dirs := make([]string, nshards)
+	logs := make([]store.Log, nshards)
+	for i := range logs {
+		dirs[i] = t.TempDir()
+		fl, err := store.OpenFileLog(dirs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		logs[i] = fl
+	}
+	g := NewSharded(nshards, core.Config{}, nil)
+	if err := g.SetLogs(logs); err != nil {
+		t.Fatal(err)
+	}
+	leases := driveShardedWorkload(t, g)
+	if err := g.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	// A tail after the compaction: more allocations, one released.
+	tail := mustHandle(t, g, &Request{Alloc: &AllocRequest{Principal: 0, Amount: 4}}).Alloc.Lease
+	leases = append(leases, mustHandle(t, g, &Request{Alloc: &AllocRequest{Principal: 1, Amount: 3}}).Alloc.Lease)
+	mustHandle(t, g, &Request{Release: &ReleaseRequest{Lease: tail}})
+	want := shardedStatusJSON(t, g)
+	g.Close()
+	for i, l := range logs {
+		if err := l.Close(); err != nil {
+			t.Fatalf("close shard %d log: %v", i, err)
+		}
+	}
+
+	reopened := make([]store.Log, nshards)
+	for i, dir := range dirs {
+		fl, err := store.OpenFileLog(dir)
+		if err != nil {
+			t.Fatalf("reopen shard %d: %v", i, err)
+		}
+		defer fl.Close()
+		reopened[i] = fl
+	}
+	r := NewSharded(nshards, core.Config{}, nil)
+	defer r.Close()
+	if err := r.RecoverShards(reopened); err != nil {
+		t.Fatalf("RecoverShards: %v", err)
+	}
+	if got := shardedStatusJSON(t, r); got != want {
+		t.Fatalf("recovered status\n %s\nwant\n %s", got, want)
+	}
+	for _, lease := range leases {
+		mustHandle(t, r, &Request{Release: &ReleaseRequest{Lease: lease}})
+	}
+}
+
 // TestShardedSingleShardRestart proves shards recover independently: one
 // shard's log replayed into a fresh single server reproduces exactly
 // that shard's books, with the other shards' logs untouched.

@@ -3,7 +3,9 @@ package transport_test
 import (
 	"bufio"
 	"encoding/gob"
+	"errors"
 	"net"
+	"os"
 	"testing"
 	"time"
 
@@ -158,6 +160,27 @@ func TestBinaryHelloWithoutCodec(t *testing.T) {
 	buf := make([]byte, 1)
 	if _, err := conn.Read(buf); err == nil {
 		t.Error("server answered a binary hello it cannot speak")
+	}
+}
+
+// TestServerRefusesOldVersion: a version-1 hello is refused outright —
+// the server closes the connection without accepting any version, so
+// an old client cannot go on to misdecode version-2 replies.
+func TestServerRefusesOldVersion(t *testing.T) {
+	_, addr := startBinaryEcho(t, transport.Options{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := transport.WriteHello(conn, transport.MinVersion-1); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if v, err := transport.ReadHello(conn); err == nil {
+		t.Fatalf("server accepted version %d for a version-%d hello", v, transport.MinVersion-1)
+	} else if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("server neither answered nor closed the refused connection")
 	}
 }
 

@@ -288,10 +288,15 @@ func (t *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
 		t.logger.Printf("transport: handshake from %s: %v", conn.RemoteAddr(), err)
 		return
 	}
+	version, err := NegotiateVersion(proposed)
+	if err != nil {
+		t.logger.Printf("transport: handshake from %s refused: %v", conn.RemoteAddr(), err)
+		return
+	}
 	if write > 0 {
 		conn.SetWriteDeadline(time.Now().Add(write))
 	}
-	if err := WriteHello(conn, NegotiateVersion(proposed)); err != nil {
+	if err := WriteHello(conn, version); err != nil {
 		t.logger.Printf("transport: handshake to %s: %v", conn.RemoteAddr(), err)
 		return
 	}

@@ -1,6 +1,6 @@
 package transport
 
-// The binary wire format (protocol version 1). It replaces gob on the
+// The binary wire format (protocol version 2). It replaces gob on the
 // hot path while the gob stream stays decodable for old peers:
 //
 // Handshake. A binary client opens with the 5-byte hello
@@ -8,7 +8,10 @@ package transport
 //	[0x00 'G' 'R' 'M' <version>]
 //
 // and the server answers with the same magic and the version it accepts
-// (the minimum of the client's proposal and its own maximum). The lead
+// (the minimum of the client's proposal and its own maximum). A
+// proposal below MinVersion is refused: the server closes the
+// connection without an answer. The client checks the accepted version
+// in turn, so neither side decodes a layout it does not speak. The lead
 // byte 0x00 is the discriminator: a gob stream's first byte is a
 // message-length uvarint and can never be zero, so the server peeks one
 // byte and routes the connection to the right codec. A gob peer sends no
@@ -28,8 +31,13 @@ package transport
 //
 // Envelope encoding primitives. Integers are uvarints (zigzag for
 // signed values), float64s are 8-byte little-endian IEEE 754 bits,
-// strings and slices are length-prefixed. The Append*/Dec helpers below
-// are shared by the protocol codec so every field is encoded one way.
+// strings and slices are length-prefixed. A uvarint must use its
+// shortest form, so every accepted envelope re-encodes byte for byte.
+// Sparse float64 slices (version 2) carry the length, then one
+// (index delta, float64) pair per entry that is not +0, then a 0 delta
+// that ends the list. The Append*/Dec helpers below are shared by the
+// protocol codec and the WAL record body of internal/store, so every
+// field is encoded one way.
 
 import (
 	"encoding/binary"
@@ -43,7 +51,11 @@ import (
 
 const (
 	// Version is the newest binary protocol version this package speaks.
-	Version = 1
+	Version = 2
+	// MinVersion is the oldest version it still speaks. Version 2 sends
+	// alloc replies' takes as sparse slices, which a version-1 peer
+	// would misdecode, and no version-1 encoder is kept.
+	MinVersion = 2
 	// frameHeaderSize is the length+CRC prefix of every frame.
 	frameHeaderSize = 8
 	// MaxFramePayload bounds one frame's payload; a length field beyond
@@ -97,12 +109,23 @@ func ReadHello(r io.Reader) (byte, error) {
 }
 
 // NegotiateVersion picks the version a server speaks with a client that
-// proposed the given one: the highest version both sides know.
-func NegotiateVersion(proposed byte) byte {
-	if proposed > Version {
-		return Version
+// proposed the given one: the highest version both sides know. A
+// proposal below MinVersion is an error; the server must not answer it.
+func NegotiateVersion(proposed byte) (byte, error) {
+	if proposed < MinVersion {
+		return 0, fmt.Errorf("transport: peer proposed protocol version %d, this side speaks %d to %d", proposed, MinVersion, Version)
 	}
-	return proposed
+	return min(proposed, Version), nil
+}
+
+// CheckAccepted validates the version a server accepted against the
+// one a client proposed: it must be one this package speaks and no
+// newer than the proposal.
+func CheckAccepted(proposed, accepted byte) error {
+	if accepted < MinVersion || accepted > proposed {
+		return fmt.Errorf("transport: server accepted protocol version %d to a proposal of %d, this side speaks %d to %d", accepted, proposed, MinVersion, Version)
+	}
+	return nil
 }
 
 // FrameWriter writes length+CRC framed messages, reusing one buffer
@@ -231,6 +254,27 @@ func AppendFloat64s(dst []byte, xs []float64) []byte {
 	return dst
 }
 
+// AppendSparseFloat64s appends xs in sparse form, in one pass: the
+// length, one (index delta, value) pair per entry whose bits are not
+// +0, and a 0 delta that ends the list. A delta is the entry's index
+// minus the previous entry's (the first counts from -1), so it is at
+// least 1 and the indexes strictly increase. -0 is carried like any
+// other non-zero bit pattern, so the decoded slice is bit-identical to
+// xs.
+func AppendSparseFloat64s(dst []byte, xs []float64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(xs)))
+	next := 0
+	for i, x := range xs {
+		if math.Float64bits(x) == 0 {
+			continue
+		}
+		dst = binary.AppendUvarint(dst, uint64(i+1-next))
+		dst = AppendFloat64(dst, x)
+		next = i + 1
+	}
+	return binary.AppendUvarint(dst, 0)
+}
+
 // Dec is a cursor over an envelope payload. Reads past the end or
 // malformed fields latch an error and return zero values, so decoders
 // can read a whole struct and check Err once at the end.
@@ -263,12 +307,23 @@ func (d *Dec) Done() error {
 	return nil
 }
 
+// uvarint parses one shortest-form uvarint from buf; k <= 0 when buf
+// holds none. binary.Uvarint also accepts padded forms (0x80 0x00 for
+// 0), which would let two byte strings decode to the same value.
+func uvarint(buf []byte) (v uint64, k int) {
+	v, k = binary.Uvarint(buf)
+	if k > 1 && buf[k-1] == 0 {
+		return 0, -1
+	}
+	return v, k
+}
+
 // Uvarint reads one uvarint.
 func (d *Dec) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	v, k := binary.Uvarint(d.buf)
+	v, k := uvarint(d.buf)
 	if k <= 0 {
 		d.fail("uvarint")
 		return 0
@@ -331,6 +386,55 @@ func (d *Dec) Float64s() []float64 {
 	}
 	d.buf = d.buf[8*n:]
 	return xs
+}
+
+// SparseFloat64s reads one AppendSparseFloat64s slice back into dense
+// form (nil when its length is 0). The pairs are checked before
+// anything is allocated: a length above MaxFramePayload/8 (more floats
+// than the dense form fits in one frame), an index at or past the
+// length, and an explicit +0 entry (the form is canonical) each fail
+// the read.
+func (d *Dec) SparseFloat64s() []float64 {
+	n := d.Uvarint()
+	if d.err != nil {
+		return nil
+	}
+	if n > MaxFramePayload/8 {
+		d.fail("sparse float64 slice length")
+		return nil
+	}
+	rest, next := d.buf, uint64(0)
+	for {
+		delta, k := uvarint(rest)
+		if k <= 0 || delta > n-next || (delta != 0 && len(rest) < k+8) {
+			d.fail("sparse float64 slice")
+			return nil
+		}
+		rest = rest[k:]
+		if delta == 0 {
+			break
+		}
+		if binary.LittleEndian.Uint64(rest) == 0 {
+			d.fail("sparse float64 slice (explicit zero)")
+			return nil
+		}
+		rest = rest[8:]
+		next += delta
+	}
+	var xs []float64
+	if n > 0 {
+		xs = make([]float64, n)
+	}
+	for next = 0; ; {
+		delta, k := uvarint(d.buf)
+		d.buf = d.buf[k:]
+		if delta == 0 {
+			return xs
+		}
+		next += delta
+		xs[next-1] = math.Float64frombits(binary.LittleEndian.Uint64(d.buf))
+		d.buf = d.buf[8:]
+	}
 }
 
 // Duration reads a zigzag-encoded time.Duration.

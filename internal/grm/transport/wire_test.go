@@ -51,11 +51,28 @@ func TestReadHelloRejectsGobAndGarbage(t *testing.T) {
 }
 
 func TestNegotiateVersion(t *testing.T) {
-	if got := transport.NegotiateVersion(transport.Version); got != transport.Version {
-		t.Errorf("same version negotiates to %d", got)
+	if got, err := transport.NegotiateVersion(transport.Version); err != nil || got != transport.Version {
+		t.Errorf("same version negotiates to %d, %v", got, err)
 	}
-	if got := transport.NegotiateVersion(200); got != transport.Version {
-		t.Errorf("future version negotiates to %d, want %d", got, transport.Version)
+	if got, err := transport.NegotiateVersion(200); err != nil || got != transport.Version {
+		t.Errorf("future version negotiates to %d, %v; want %d", got, err, transport.Version)
+	}
+	// Version 1 carried alloc takes dense; a v1 peer would misdecode the
+	// sparse reply, so the proposal is refused, not downgraded.
+	if got, err := transport.NegotiateVersion(1); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("version 1 negotiates to %d, %v; want a refusal naming the version", got, err)
+	}
+}
+
+func TestCheckAccepted(t *testing.T) {
+	if err := transport.CheckAccepted(transport.Version, transport.Version); err != nil {
+		t.Errorf("own version refused: %v", err)
+	}
+	if err := transport.CheckAccepted(transport.Version, 1); err == nil {
+		t.Error("server's version-1 accept taken")
+	}
+	if err := transport.CheckAccepted(transport.Version, transport.Version+1); err == nil {
+		t.Error("accept above the proposal taken")
 	}
 }
 
@@ -147,6 +164,9 @@ func TestDecRoundTrip(t *testing.T) {
 	dst = transport.AppendString(dst, "nonempty ∞ string")
 	dst = transport.AppendFloat64s(dst, nil)
 	dst = transport.AppendFloat64s(dst, []float64{1, -2.5, 0})
+	dst = transport.AppendSparseFloat64s(dst, nil)
+	dst = transport.AppendSparseFloat64s(dst, []float64{0, 0, 0})
+	dst = transport.AppendSparseFloat64s(dst, []float64{3, 0, math.Copysign(0, -1), 0, math.NaN(), 7})
 	dst = transport.AppendInt(dst, int64(5*time.Second))
 
 	d := transport.NewDec(dst)
@@ -182,6 +202,22 @@ func TestDecRoundTrip(t *testing.T) {
 	}
 	if v := d.Float64s(); len(v) != 3 || v[0] != 1 || v[1] != -2.5 || v[2] != 0 {
 		t.Errorf("slice = %v", v)
+	}
+	if v := d.SparseFloat64s(); v != nil {
+		t.Errorf("empty sparse slice = %v, want nil", v)
+	}
+	if v := d.SparseFloat64s(); len(v) != 3 || v[0] != 0 || v[1] != 0 || v[2] != 0 {
+		t.Errorf("all-zero sparse slice = %v", v)
+	}
+	want := []float64{3, 0, math.Copysign(0, -1), 0, math.NaN(), 7}
+	if v := d.SparseFloat64s(); len(v) != len(want) {
+		t.Errorf("sparse slice = %v, want %v", v, want)
+	} else {
+		for i := range want {
+			if math.Float64bits(v[i]) != math.Float64bits(want[i]) {
+				t.Errorf("sparse slice[%d] bits = %x, want %x", i, math.Float64bits(v[i]), math.Float64bits(want[i]))
+			}
+		}
 	}
 	if v := d.Duration(); v != 5*time.Second {
 		t.Errorf("duration = %v", v)
@@ -236,5 +272,34 @@ func TestDecLatchesErrors(t *testing.T) {
 	}
 	if d.Err() == nil {
 		t.Error("overlong slice length accepted")
+	}
+}
+
+// TestSparseFloat64sRejects checks each malformed form fails the read
+// and leaves no slice behind.
+func TestSparseFloat64sRejects(t *testing.T) {
+	u := transport.AppendUvarint
+	f := transport.AppendFloat64
+	cases := map[string][]byte{
+		"length beyond a frame's dense capacity": u(nil, transport.MaxFramePayload/8+1),
+		"index at the length":                    u(f(u(u(nil, 2), 3), 1), 0),
+		"index far past the length":              u(f(u(u(nil, 2), 1<<62), 1), 0),
+		"second index past the length":           u(f(u(f(u(u(nil, 2), 2), 1), 1), 1), 0),
+		"explicit zero":                          u(f(u(u(nil, 2), 1), 0), 0),
+		"missing terminator":                     f(u(u(nil, 2), 1), 1),
+		"truncated value":                        u(u(nil, 2), 1),
+		"padded uvarint":                         {0x82, 0x00, 0x00},
+	}
+	for name, data := range cases {
+		d := transport.NewDec(data)
+		if v := d.SparseFloat64s(); v != nil || d.Err() == nil {
+			t.Errorf("%s: decoded %v, err %v", name, v, d.Err())
+		}
+	}
+	// A huge length with no pairs is within the bound but must not be
+	// allocated before the list is known to be well formed.
+	d := transport.NewDec(u(nil, transport.MaxFramePayload/8))
+	if v := d.SparseFloat64s(); v != nil || d.Err() == nil {
+		t.Errorf("unterminated max-length slice: decoded %d floats, err %v", len(v), d.Err())
 	}
 }

@@ -34,7 +34,6 @@ func TestCounterResetLosesNothing(t *testing.T) {
 	const goroutines, each = 8, 5_000
 	var c Counter
 	var wg sync.WaitGroup
-	drained := make(chan int64, 64)
 	stop := make(chan struct{})
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -45,29 +44,24 @@ func TestCounterResetLosesNothing(t *testing.T) {
 			}
 		}()
 	}
-	var drainWG sync.WaitGroup
-	drainWG.Add(1)
+	// The drainer sums its drains locally and hands back one total, so
+	// it never blocks however many non-zero drains it makes before stop.
+	drained := make(chan int64, 1)
 	go func() {
-		defer drainWG.Done()
+		var sum int64
 		for {
 			select {
 			case <-stop:
+				drained <- sum
 				return
 			default:
-				if v := c.Reset(); v != 0 {
-					drained <- v
-				}
+				sum += c.Reset()
 			}
 		}
 	}()
 	wg.Wait()
 	close(stop)
-	drainWG.Wait()
-	close(drained)
-	total := c.Reset()
-	for v := range drained {
-		total += v
-	}
+	total := <-drained + c.Reset()
 	if total != goroutines*each {
 		t.Fatalf("drained+remainder = %d, want %d", total, goroutines*each)
 	}

@@ -3,7 +3,6 @@ package store
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -17,12 +16,15 @@ import (
 //
 //	[4B little-endian payload length][4B CRC-32 (IEEE) of payload][payload]
 //
-// where the payload is the Record encoded as JSON. The CRC catches
-// torn or bit-rotted frames; a short header or payload marks the point
-// a crash truncated the file. Decoding stops at the first frame that
-// fails any check — everything before it is the recovered prefix, and
-// the file is truncated back to that point on open so later appends
-// never follow garbage.
+// where the payload is the record's binary body (record.go). The CRC
+// catches torn or bit-rotted frames; a short header or payload marks
+// the point a crash truncated the file. Opening the log scans frames by
+// length and CRC only, plus each body's leading kind byte, and
+// truncates the file back to the end of the last intact frame so later
+// appends never follow garbage. Replay decodes each record once. A
+// frame that passes its CRC but does not decode is not a torn tail: it
+// was written whole, so both open and replay return an ErrBadRecord
+// error and truncate nothing.
 const (
 	frameHeaderSize = 8
 	// maxFramePayload bounds one record's encoded size; a length field
@@ -49,12 +51,15 @@ type FileLog struct {
 	mu   sync.Mutex
 	wal  *os.File
 	bw   *bufio.Writer
+	buf  []byte // frame encoding scratch, reused under mu
 	open bool
 }
 
 // OpenFileLog opens (creating if needed) the log directory. The WAL
-// tail is scanned and truncated back to its last valid record, so a
-// file torn by a crash is safe to append to immediately.
+// tail is scanned by frame length and CRC and truncated back to its
+// last intact frame, so a file torn by a crash is safe to append to
+// immediately. A CRC-valid frame whose kind byte is unknown (a WAL of
+// the older JSON format, say) is an ErrBadRecord error.
 func OpenFileLog(dir string) (*FileLog, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
@@ -63,7 +68,12 @@ func OpenFileLog(dir string) (*FileLog, error) {
 	// file that was never activated; drop it.
 	os.Remove(filepath.Join(dir, tmpName))
 	walPath := filepath.Join(dir, walName)
-	valid, _, err := scanFrames(walPath)
+	valid, err := scanFile(walPath, func(payload []byte, off int64) error {
+		if !Kind(payload[0]).Valid() {
+			return fmt.Errorf("store: %s: frame at offset %d: %w: unknown kind byte %#x", walPath, off, ErrBadRecord, payload[0])
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -89,15 +99,16 @@ func (fl *FileLog) Dir() string { return fl.dir }
 // to the OS, so a killed process loses nothing; call Sync to force it
 // to stable storage.
 func (fl *FileLog) Append(rec *Record) error {
-	frame, err := encodeFrame(rec)
-	if err != nil {
-		return err
-	}
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
 	if !fl.open {
 		return fmt.Errorf("store: append to closed log")
 	}
+	frame, err := appendFrame(fl.buf[:0], rec)
+	if err != nil {
+		return err
+	}
+	fl.buf = frame
 	if _, err := fl.bw.Write(frame); err != nil {
 		return fmt.Errorf("store: append: %w", err)
 	}
@@ -123,34 +134,22 @@ func (fl *FileLog) Replay(fn func(*Record) error) error {
 	var foldSeq uint64
 	snapPath := filepath.Join(fl.dir, snapName)
 	if _, err := os.Stat(snapPath); err == nil {
-		_, recs, err := scanFrames(snapPath)
+		err := replayFile(snapPath, func(rec *Record) error {
+			foldSeq = max(foldSeq, rec.Seq)
+			return fn(rec)
+		})
 		if err != nil {
 			return err
 		}
-		for _, rec := range recs {
-			if rec.Seq > foldSeq {
-				foldSeq = rec.Seq
-			}
-			if err := fn(rec); err != nil {
-				return err
-			}
-		}
 	}
-	_, recs, err := scanFrames(filepath.Join(fl.dir, walName))
-	if err != nil {
-		return err
-	}
-	for _, rec := range recs {
+	return replayFile(filepath.Join(fl.dir, walName), func(rec *Record) error {
 		if rec.Seq <= foldSeq {
 			// Already folded into the snapshot: a crash between the
 			// snapshot rename and the WAL truncate leaves such records.
-			continue
+			return nil
 		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
-	return nil
+		return fn(rec)
+	})
 }
 
 // Compact atomically replaces the log's contents with the single state
@@ -161,7 +160,7 @@ func (fl *FileLog) Compact(state *Record) error {
 	if state.Kind != KindState {
 		return fmt.Errorf("store: Compact with %v record, want state", state.Kind)
 	}
-	frame, err := encodeFrame(state)
+	frame, err := appendFrame(nil, state)
 	if err != nil {
 		return err
 	}
@@ -239,88 +238,116 @@ func (fl *FileLog) Close() error {
 	return nil
 }
 
-// encodeFrame renders one record as a length+CRC framed JSON payload.
-func encodeFrame(rec *Record) ([]byte, error) {
+// appendFrame appends rec as one length+CRC framed binary body.
+func appendFrame(dst []byte, rec *Record) ([]byte, error) {
 	if !rec.Kind.Valid() {
 		return nil, fmt.Errorf("store: encode record with invalid kind %d", uint8(rec.Kind))
 	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("store: encode record: %w", err)
-	}
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeaderSize)...)
+	dst = appendRecord(dst, rec)
+	payload := dst[start+frameHeaderSize:]
 	if len(payload) > maxFramePayload {
 		return nil, fmt.Errorf("store: record payload %d bytes exceeds frame limit", len(payload))
 	}
-	frame := make([]byte, frameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHeaderSize:], payload)
-	return frame, nil
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
+	return dst, nil
 }
 
-// DecodeRecords reads frames from r until it hits EOF or the first
-// invalid frame (short header, oversized or short payload, CRC
-// mismatch, malformed JSON, unknown kind, or a sequence regression).
-// It returns the valid prefix's records and its byte length; corruption
-// is a stop condition, never an error — recovery resumes from the last
-// valid record. The only error returned is a non-EOF read failure.
-func DecodeRecords(r io.Reader) (recs []*Record, validLen int64, err error) {
-	br := bufio.NewReader(r)
-	var lastSeq uint64
+// scanFrames reads frames from r until EOF or the first frame that
+// fails the length or CRC check (short header, empty, oversized or
+// short payload, CRC mismatch), calling fn with each intact payload and
+// its frame's byte offset; the payload is valid only during the call.
+// It returns the intact prefix's byte length. A failed check is a stop
+// condition, never an error — recovery resumes from the last intact
+// frame. The errors are a non-EOF read failure of the stream called
+// name, and fn's own, returned as is.
+func scanFrames(r io.Reader, name string, fn func(payload []byte, off int64) error) (validLen int64, err error) {
+	br := bufio.NewReaderSize(r, 64<<10)
+	var header [frameHeaderSize]byte
+	var payload []byte
 	for {
-		header := make([]byte, frameHeaderSize)
-		if _, err := io.ReadFull(br, header); err != nil {
+		if _, err := io.ReadFull(br, header[:]); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return recs, validLen, nil
+				return validLen, nil
 			}
-			return recs, validLen, fmt.Errorf("store: read frame header: %w", err)
+			return validLen, fmt.Errorf("store: %s: read frame header: %w", name, err)
 		}
 		n := binary.LittleEndian.Uint32(header[0:4])
-		if n > maxFramePayload {
-			return recs, validLen, nil
+		if n == 0 || n > maxFramePayload {
+			return validLen, nil
 		}
-		payload := make([]byte, n)
+		if cap(payload) < int(n) {
+			payload = make([]byte, n)
+		}
+		payload = payload[:n]
 		if _, err := io.ReadFull(br, payload); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return recs, validLen, nil
+				return validLen, nil
 			}
-			return recs, validLen, fmt.Errorf("store: read frame payload: %w", err)
+			return validLen, fmt.Errorf("store: %s: read frame payload: %w", name, err)
 		}
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(header[4:8]) {
-			return recs, validLen, nil
+			return validLen, nil
 		}
-		rec := &Record{}
-		if err := json.Unmarshal(payload, rec); err != nil {
-			return recs, validLen, nil
+		if err := fn(payload, validLen); err != nil {
+			return validLen, err
 		}
-		if !rec.Kind.Valid() {
-			return recs, validLen, nil
-		}
-		if len(recs) > 0 && rec.Seq <= lastSeq {
-			// Sequence regressions mean the tail predates the prefix
-			// (e.g. a recycled file); stop at the consistent prefix.
-			return recs, validLen, nil
-		}
-		lastSeq = rec.Seq
-		recs = append(recs, rec)
 		validLen += int64(frameHeaderSize) + int64(n)
 	}
 }
 
-// scanFrames decodes every valid record in the named file. A missing
-// file is an empty log.
-func scanFrames(path string) (validLen int64, recs []*Record, err error) {
+// recordDecoder returns a scanFrames callback that decodes each frame's
+// record and feeds it to fn. A CRC-valid frame that does not decode, or
+// whose Seq does not exceed its predecessor's, is an ErrBadRecord error
+// naming the stream and the frame's byte offset; fn's errors are
+// returned as is.
+func recordDecoder(name string, fn func(*Record) error) func(payload []byte, off int64) error {
+	var lastSeq uint64
+	first := true
+	return func(payload []byte, off int64) error {
+		rec, err := decodeRecord(payload)
+		if err == nil && !first && rec.Seq <= lastSeq {
+			err = fmt.Errorf("%w: seq %d after seq %d", ErrBadRecord, rec.Seq, lastSeq)
+		}
+		if err != nil {
+			return fmt.Errorf("store: %s: frame at offset %d: %w", name, off, err)
+		}
+		first, lastSeq = false, rec.Seq
+		return fn(rec)
+	}
+}
+
+// DecodeRecords decodes every record of r's intact frames. It stops
+// cleanly at EOF or at a torn or corrupt frame (see scanFrames) and
+// returns the records before it and their byte length. A CRC-valid
+// frame that is not a valid record is an error wrapping ErrBadRecord;
+// the records before it are still returned.
+func DecodeRecords(r io.Reader) (recs []*Record, validLen int64, err error) {
+	validLen, err = scanFrames(r, "records", recordDecoder("records", func(rec *Record) error {
+		recs = append(recs, rec)
+		return nil
+	}))
+	return recs, validLen, err
+}
+
+// replayFile decodes the named file's records in order into fn.
+func replayFile(path string, fn func(*Record) error) error {
+	_, err := scanFile(path, recordDecoder(path, fn))
+	return err
+}
+
+// scanFile runs scanFrames over the named file. A missing file is an
+// empty log.
+func scanFile(path string, fn func(payload []byte, off int64) error) (validLen int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return 0, nil, nil
+			return 0, nil
 		}
-		return 0, nil, fmt.Errorf("store: open %s: %w", path, err)
+		return 0, fmt.Errorf("store: open %s: %w", path, err)
 	}
 	defer f.Close()
-	recs, validLen, err = DecodeRecords(f)
-	if err != nil {
-		return 0, nil, fmt.Errorf("store: scan %s: %w", path, err)
-	}
-	return validLen, recs, nil
+	return scanFrames(f, path, fn)
 }

@@ -2,21 +2,19 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 )
 
-// fuzzPrefix is a short valid log whose frames seed the corpus and whose
-// records must survive any fuzzed tail appended after them.
+// fuzzPrefix is a short valid log — one record of every kind, a
+// compacted state with leases among them — whose frames seed the corpus
+// and whose records must survive any fuzzed tail appended after them.
 func fuzzPrefix(t interface{ Fatal(...any) }) ([]byte, []*Record) {
-	recs := []*Record{
-		{Seq: 1, Kind: KindRegister, Name: "node0", Capacity: 100},
-		{Seq: 2, Kind: KindReport, Principal: 0, Available: 55.5},
-		{Seq: 3, Kind: KindAlloc, Lease: 1, Takes: []float64{10, 0}, Expires: 42},
-	}
+	recs := everyKind()
 	var buf bytes.Buffer
 	for _, r := range recs {
-		frame, err := encodeFrame(r)
+		frame, err := appendFrame(nil, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -26,21 +24,33 @@ func fuzzPrefix(t interface{ Fatal(...any) }) ([]byte, []*Record) {
 }
 
 // FuzzLogDecode feeds arbitrary bytes through the frame decoder. The
-// decoder must never panic, must treat any corruption as a clean stop at
-// the last valid record, and must always recover the intact prefix when
-// garbage is appended after valid frames.
+// decoder must never panic; a torn or corrupt frame is a clean stop at
+// the last intact record, and a CRC-valid frame that is not a record is
+// an ErrBadRecord error that still returns the records before it. The
+// intact prefix must always be recovered when anything is appended
+// after valid frames.
 func FuzzLogDecode(f *testing.F) {
-	prefix, _ := fuzzPrefix(f)
+	prefix, recs := fuzzPrefix(f)
 	f.Add([]byte{})
 	f.Add(prefix)
-	f.Add(prefix[:len(prefix)-3])               // torn tail
+	f.Add(prefix[:len(prefix)-3])                // torn tail
 	f.Add(append([]byte{0xFF, 0xFF}, prefix...)) // garbage header
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// Raw bytes: any outcome but a panic or a read error is fine, and
-		// the reported valid length must cover exactly the decoded frames.
-		recs, n, err := DecodeRecords(bytes.NewReader(data))
+	for _, r := range recs {
+		r := *r
+		r.Seq += 100 // follows the prefix when appended after it
+		frame, err := appendFrame(nil, &r)
 		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Raw bytes: any outcome but a panic, a read error or a foreign
+		// error is fine, and the reported valid length must cover exactly
+		// the decoded frames.
+		recs, n, err := DecodeRecords(bytes.NewReader(data))
+		if err != nil && !errors.Is(err, ErrBadRecord) {
 			t.Fatalf("in-memory decode errored: %v", err)
 		}
 		if n < 0 || n > int64(len(data)) {
@@ -56,7 +66,7 @@ func FuzzLogDecode(f *testing.F) {
 		// always be recovered, in order.
 		prefix, want := fuzzPrefix(t)
 		got, _, err := DecodeRecords(bytes.NewReader(append(append([]byte{}, prefix...), data...)))
-		if err != nil {
+		if err != nil && !errors.Is(err, ErrBadRecord) {
 			t.Fatalf("prefixed decode errored: %v", err)
 		}
 		if len(got) < len(want) {
